@@ -26,7 +26,7 @@ driver = SimulationDriver(platform, answer_fn=journalism_answer_fn, seed=5)
 joint_task = None
 for _ in range(60):
     platform.step()
-    driver._declare_interests()
+    driver._declare_interests(visit=0)
     driver._answer_membership_proposals()
     joints = [
         t

@@ -95,8 +95,7 @@ from repro.errors import CollaborationError, PlatformError
 from repro.storage import Database, col
 from repro.util import IdFactory
 
-#: Stored-value forms for the cached storage queries below.
-_ELIGIBLE_ROOTED = tuple(status.value for status in ELIGIBLE_ROOTED)
+#: Stored-value form for the cached storage queries below.
 _OPEN_STATUS_VALUES = tuple(status.value for status in OPEN_STATUSES)
 
 
@@ -153,7 +152,7 @@ class RoundDeltas:
     instead of re-scanning the worker × task product each tick.
 
     ``eligible_added`` / ``eligible_removed`` map task ids to the workers
-    whose *pure Eligible* rows were inserted / revoked this round by the
+    whose *pure Eligible* pairs were added / revoked this round by the
     incremental maintenance paths.  Tasks in ``full_tasks`` had their whole
     eligible set re-derived (new task, constraints changed, task returned
     to the pending pool, or a ``full=True`` round) — their per-worker
@@ -301,20 +300,15 @@ class Crowd4U:
         """The user page's task list: pending root tasks the worker is
         eligible for (§2.2.1 step 3).
 
-        Served through the storage query cache: repeated renders between
-        ledger mutations cost one dict lookup instead of a table scan.
+        Reads the ledger's worker→tasks index of derived Eligible plus the
+        worker's own Interested/Undertakes rows.
         """
         self.workers.get(worker_id)
-        rows = (
-            self.db.query("relationship")
-            .where(
-                (col("worker_id") == worker_id)
-                & col("status").in_(_ELIGIBLE_ROOTED)
-            )
-            .project("task_id")
-            .execute_cached()
-        )
-        related = {row["task_id"] for row in rows}
+        related = {
+            task_id
+            for status in ELIGIBLE_ROOTED
+            for task_id in self.ledger.tasks_with_status(worker_id, status)
+        }
         return [t for t in self.pool.pending_root_tasks() if t.id in related]
 
     def declare_interest(self, worker_id: str, task_id: str) -> None:
@@ -716,12 +710,16 @@ class Crowd4U:
         set only when *no* supporting tuple with her id remains (checked
         through the relation's key index, one O(1) probe per removed row).
         """
-        known = set(self.workers.ids())
+        workers = self.workers
         transitions: dict[str, tuple[set[str], set[str]]] = {}
         for name, (added_rows, removed_rows) in processor.drain_deltas().items():
             if name != "eligible" and not name.startswith("eligible_"):
                 continue
-            added = {row[0] for row in added_rows if row and row[0] in known}
+            added = {
+                row[0]
+                for row in added_rows
+                if row and workers.maybe(row[0]) is not None
+            }
             relation = processor.engine.store.maybe(name)
             removed = {
                 row[0]
@@ -812,7 +810,7 @@ class Crowd4U:
         transitions: dict[str, tuple[set[str], set[str]]],
         n_workers: int,
     ) -> None:
-        """Apply one round's change sets to one task's Eligible rows."""
+        """Apply one round's change sets to one task's derived Eligible set."""
         recording = self._recording
         processor = self._processors.get(task.project_id)
         name = self._eligible_predicate(processor, task)
@@ -896,45 +894,39 @@ class Crowd4U:
 
     def _ensure_eligibility(self, task: Task) -> None:
         """Re-derive the complete Eligible set for one pending root task:
-        mark newly eligible workers, retract stale system-derived rows."""
+        mark newly eligible workers, retract stale derived pairs."""
         project = self.projects.get(task.project_id)
         processor = self._processors.get(task.project_id)
         eligible_ids = self._eligible_worker_ids(project, processor, task)
-        eligible = set(eligible_ids)
         for worker_id in eligible_ids:
             self.ledger.mark_eligible(worker_id, task.id, self.now)
-        for worker_id in self.ledger.workers_with_status(
-            task.id, RelationshipStatus.ELIGIBLE
-        ):
-            if worker_id not in eligible and self.ledger.revoke_eligibility(
-                worker_id, task.id
-            ):
-                self.stats.eligibility_revoked += 1
+        stale = set(
+            self.ledger.workers_with_status(task.id, RelationshipStatus.ELIGIBLE)
+        ).difference(eligible_ids)
+        for worker_id in stale:
+            self.ledger.revoke_eligibility(worker_id, task.id)
+        self.stats.eligibility_revoked += len(stale)
 
     def _cross_check_eligibility(self) -> None:
         """Engine-diff-style oracle: recompute every pending root task's
         eligible set from scratch and verify the incrementally maintained
         ledger agrees.  A worker is *missing* when the full recompute would
-        have marked her and the ledger has no relationship at all; a row is
+        have marked her and the ledger has no relationship at all; a pair is
         *stale* when the ledger says Eligible but the recompute disagrees."""
         self.stats.cross_checks += 1
         for task in self.pool.pending_root_tasks():
             project = self.projects.get(task.project_id)
             processor = self._processors.get(task.project_id)
             expected = set(self._eligible_worker_ids(project, processor, task))
+            derived = set(
+                self.ledger.workers_with_status(task.id, RelationshipStatus.ELIGIBLE)
+            )
             missing = {
                 worker_id
-                for worker_id in expected
+                for worker_id in expected - derived
                 if self.ledger.status(worker_id, task.id) is None
             }
-            stale = (
-                set(
-                    self.ledger.workers_with_status(
-                        task.id, RelationshipStatus.ELIGIBLE
-                    )
-                )
-                - expected
-            )
+            stale = derived - expected
             if missing or stale:
                 raise PlatformError(
                     f"incremental eligibility diverged for task {task.id}: "
@@ -960,11 +952,11 @@ class Crowd4U:
         ``eligible/1``; otherwise the constraint screen applies."""
         name = self._eligible_predicate(processor, task)
         if name is not None:
-            known = set(self.workers.ids())
+            workers = self.workers
             return sorted(
                 value[0]
                 for value in processor.facts(name)
-                if value and value[0] in known
+                if value and workers.maybe(value[0]) is not None
             )
         return [
             worker.id

@@ -8,8 +8,14 @@
         stated invariant, enforced here).
 
 We additionally track *Declined* (a proposed worker refused or timed out)
-and *Completed* for bookkeeping.  The ledger is persisted in the storage
-engine and indexed both ways (by worker and by task).
+and *Completed* for bookkeeping.
+
+Eligible is derived state: the ledger keeps a pair that is *only* Eligible
+in a per-task in-memory set with a worker→tasks inverted index, and the
+``relationship`` table stores only the worker-driven states (InterestedIn,
+Undertakes, Declined, Completed).  A pair leaves the derived set when its
+first row is written, so a stored row always wins.  Derived eligibility is
+not persisted: a reopened platform re-derives it on its first round.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ class RelationshipStatus(enum.Enum):
 
 #: Statuses that imply the worker is currently eligible for the task
 #: (Eligible-rooted): the deeper worker-declared states all require — and
-#: preserve — eligibility.  Shared by the ledger's queries and the
-#: platform's cached worker-page query.
+#: preserve — eligibility.
 ELIGIBLE_ROOTED = (
     RelationshipStatus.ELIGIBLE,
     RelationshipStatus.INTERESTED,
@@ -75,7 +80,8 @@ _SCHEMA = TableSchema(
 
 
 class RelationshipLedger:
-    """Persistent store of every (worker, task) relationship."""
+    """Every (worker, task) relationship: derived Eligible pairs in memory,
+    worker-driven states persisted in the storage engine."""
 
     def __init__(self, db: Database) -> None:
         self.db = db
@@ -83,15 +89,32 @@ class RelationshipLedger:
             db.create_table(_SCHEMA)
             db.table(_SCHEMA.name).create_index(("task_id", "status"))
             db.table(_SCHEMA.name).create_index(("worker_id", "status"))
+        #: Stored (worker-driven) status per pair.
         self._cache: dict[tuple[str, str], RelationshipStatus] = {}
+        #: task -> workers that are only Eligible (no stored row).
+        self._eligible: dict[str, set[str]] = {}
+        #: worker -> tasks, the inverted index of ``_eligible``.
+        self._eligible_tasks: dict[str, set[str]] = {}
+        derived_rows: list[tuple[str, str]] = []
         for row in db.table(_SCHEMA.name).rows():
-            self._cache[(row["worker_id"], row["task_id"])] = RelationshipStatus(
-                row["status"]
-            )
+            key = (row["worker_id"], row["task_id"])
+            status = RelationshipStatus(row["status"])
+            if status is RelationshipStatus.ELIGIBLE:
+                derived_rows.append(key)
+            else:
+                self._cache[key] = status
+        # Stores written before Eligible became derived state hold it as
+        # rows.  Drop them: the platform's first round after a reopen
+        # re-derives every pending task's eligible set in full.
+        for key in derived_rows:
+            db.delete(_SCHEMA.name, key)
 
     # -- state machine ---------------------------------------------------------
     def status(self, worker_id: str, task_id: str) -> RelationshipStatus | None:
-        return self._cache.get((worker_id, task_id))
+        status = self._cache.get((worker_id, task_id))
+        if status is None and worker_id in self._eligible.get(task_id, ()):
+            return RelationshipStatus.ELIGIBLE
+        return status
 
     def _transition(
         self,
@@ -100,6 +123,7 @@ class RelationshipLedger:
         target: RelationshipStatus,
         now: float,
     ) -> None:
+        """Move a pair into a worker-driven state (never Eligible)."""
         current = self.status(worker_id, task_id)
         if target is current:
             return  # idempotent
@@ -110,7 +134,8 @@ class RelationshipLedger:
                 f"illegal transition {origin} -> {target.value} for "
                 f"(worker {worker_id}, task {task_id})"
             )
-        if current is None:
+        if current is RelationshipStatus.ELIGIBLE:
+            # Leaving derived Eligible: the pair's first row.
             self.db.insert(
                 _SCHEMA.name,
                 {
@@ -120,6 +145,7 @@ class RelationshipLedger:
                     "updated_at": now,
                 },
             )
+            self._forget_derived(worker_id, task_id)
         else:
             self.db.update(
                 _SCHEMA.name,
@@ -128,19 +154,40 @@ class RelationshipLedger:
             )
         self._cache[(worker_id, task_id)] = target
 
+    def _forget_derived(self, worker_id: str, task_id: str) -> None:
+        workers = self._eligible[task_id]
+        workers.discard(worker_id)
+        if not workers:
+            del self._eligible[task_id]
+        tasks = self._eligible_tasks[worker_id]
+        tasks.discard(task_id)
+        if not tasks:
+            del self._eligible_tasks[worker_id]
+
     # -- the three paper relationships ------------------------------------------
     def mark_eligible(self, worker_id: str, task_id: str, now: float = 0.0) -> bool:
         """Record that the CyLog processor judged the worker eligible.
 
-        Returns True when a new row was inserted (the worker had no
-        relationship with the task before); a worker already in any state
-        is left untouched and False is returned — the signal the platform's
-        round-delta recording uses to report genuinely new eligibility.
+        Returns True when the pair had no relationship before and is now
+        (derived) Eligible; a worker already in any state is left untouched
+        and False is returned — the signal the platform's round-delta
+        recording uses to report genuinely new eligibility.  Derived state
+        carries no timestamp, so ``now`` is unused.
         """
-        if self.status(worker_id, task_id) is None:
-            self._transition(worker_id, task_id, RelationshipStatus.ELIGIBLE, now)
-            return True
-        return False
+        if (worker_id, task_id) in self._cache:
+            return False
+        workers = self._eligible.get(task_id)
+        if workers is None:
+            workers = self._eligible[task_id] = set()
+        elif worker_id in workers:
+            return False
+        workers.add(worker_id)
+        tasks = self._eligible_tasks.get(worker_id)
+        if tasks is None:
+            self._eligible_tasks[worker_id] = {task_id}
+        else:
+            tasks.add(task_id)
+        return True
 
     def revoke_eligibility(self, worker_id: str, task_id: str) -> bool:
         """Forget a *pure* Eligible relationship whose inputs no longer hold.
@@ -148,13 +195,12 @@ class RelationshipLedger:
         Eligibility is system-derived, so when the deriving facts change
         (worker factors edited, constraints tightened) the platform retracts
         it.  Worker-declared states — Interested and deeper — survive factor
-        changes and are never revoked here.  Returns True when a row was
-        removed.
+        changes and are never revoked here.  Returns True when the pair was
+        only Eligible.
         """
-        if self._cache.get((worker_id, task_id)) is not RelationshipStatus.ELIGIBLE:
+        if worker_id not in self._eligible.get(task_id, ()):
             return False
-        self.db.delete(_SCHEMA.name, (worker_id, task_id))
-        del self._cache[(worker_id, task_id)]
+        self._forget_derived(worker_id, task_id)
         return True
 
     def declare_interest(self, worker_id: str, task_id: str, now: float = 0.0) -> None:
@@ -188,13 +234,20 @@ class RelationshipLedger:
         self._transition(worker_id, task_id, RelationshipStatus.COMPLETED, now)
 
     # -- queries --------------------------------------------------------------
+    def _stored(self, column: str, value: str, status: RelationshipStatus) -> list[str]:
+        """One column of the stored rows matching ``column == value``."""
+        other = "task_id" if column == "worker_id" else "worker_id"
+        rows = self.db.table(_SCHEMA.name).lookup(
+            (column, "status"), (value, status.value)
+        )
+        return [row[other] for row in rows]
+
     def workers_with_status(
         self, task_id: str, status: RelationshipStatus
     ) -> list[str]:
-        rows = self.db.table(_SCHEMA.name).lookup(
-            ("task_id", "status"), (task_id, status.value)
-        )
-        return sorted(row["worker_id"] for row in rows)
+        if status is RelationshipStatus.ELIGIBLE:
+            return sorted(self._eligible.get(task_id, ()))
+        return sorted(self._stored("task_id", task_id, status))
 
     def eligible_workers(self, task_id: str) -> list[str]:
         """Workers currently in any Eligible-rooted state for the task."""
@@ -212,10 +265,9 @@ class RelationshipLedger:
     def tasks_with_status(
         self, worker_id: str, status: RelationshipStatus
     ) -> list[str]:
-        rows = self.db.table(_SCHEMA.name).lookup(
-            ("worker_id", "status"), (worker_id, status.value)
-        )
-        return sorted(row["task_id"] for row in rows)
+        if status is RelationshipStatus.ELIGIBLE:
+            return sorted(self._eligible_tasks.get(worker_id, ()))
+        return sorted(self._stored("worker_id", worker_id, status))
 
     def counts_for_task(self, task_id: str) -> dict[str, int]:
         return {
@@ -224,4 +276,4 @@ class RelationshipLedger:
         }
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._cache) + sum(len(w) for w in self._eligible.values())

@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.core.human_factors import HumanFactors
 from repro.forms.model import FormField, FormModel
 from repro.forms.render import render_form, render_page, render_table
-from repro.storage import col
 from repro.storage.cache import CacheStats, observe_cache
 
 
@@ -53,10 +52,12 @@ def render_worker_page(
 ) -> str:
     """The full worker page: factors + eligible collaborative tasks.
 
-    The task list and per-task statuses render from cached storage queries
-    (see :mod:`repro.storage.cache`): between platform mutations, repeated
-    page loads are served from memoised results instead of re-scanning the
-    relationship and task tables.
+    The task list and per-task statuses come from the relationship
+    ledger's worker→tasks index and the worker's own rows; the micro-task
+    list renders from cached storage queries (see
+    :mod:`repro.storage.cache`), so repeated page loads between platform
+    mutations are served from memoised results instead of re-scanning the
+    task table.
 
     ``cache_stats`` makes the read path's cache effectiveness observable
     instead of inferred: when supplied, exactly the hits/misses/
@@ -78,23 +79,16 @@ def _render_worker_page(platform, worker_id: str) -> str:
         + [(f"skill:{name}", f"{level:.2f}")
            for name, level in sorted(factors.skills.items())],
     )
-    status_rows = (
-        platform.db.query("relationship")
-        .where(col("worker_id") == worker_id)
-        .project("task_id", "status")
-        .execute_cached()
-    )
-    status_by_task = {row["task_id"]: row["status"] for row in status_rows}
-    rows = []
-    for task in platform.eligible_tasks(worker_id):
-        rows.append(
-            (
-                task.id,
-                task.instruction[:60],
-                task.kind.value,
-                status_by_task.get(task.id, "eligible"),
-            )
+    ledger = platform.ledger
+    rows = [
+        (
+            task.id,
+            task.instruction[:60],
+            task.kind.value,
+            ledger.status(worker_id, task.id).value,
         )
+        for task in platform.eligible_tasks(worker_id)
+    ]
     tasks_html = render_table(("task", "instruction", "kind", "your status"), rows)
     micro_rows = [
         (t.id, t.kind.value, t.instruction[:60])

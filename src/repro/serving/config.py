@@ -31,8 +31,12 @@ class ServingConfig:
     arrives the drainer keeps collecting for ``batch_window`` seconds (up
     to ``max_batch`` operations) and applies the whole burst inside one
     engine continuation per project — thousands of concurrent submissions
-    cost one evaluation, not one each.  ``batch_window=0`` degenerates to
-    "whatever is queued right now".
+    cost one evaluation, not one each.  The window opens only while the
+    server is busy — the previous tick ended less than ``batch_window``
+    ago — so a write reaching an idle server is applied at once, with
+    whatever is already queued (like PostgreSQL's ``commit_delay``, which
+    waits only when other transactions are active).  ``batch_window=0``
+    never waits: "whatever is queued right now".
 
     Backpressure: a write is rejected with ``429 Retry-After`` when the
     admission queue already holds ``queue_depth`` operations, or when the

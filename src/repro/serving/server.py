@@ -16,7 +16,9 @@ they must not interleave per-request):
   writes for :attr:`~repro.serving.config.ServingConfig.batch_window`
   seconds and applies the burst through
   :func:`~repro.serving.ops.apply_ops` — one engine continuation per
-  project per tick, not per request.
+  project per tick, not per request.  It lingers only while writes keep
+  coming (the previous tick ended less than one window ago); a write
+  that reaches an idle server is applied at once.
 * **Backpressure is explicit.**  When the queue is at
   ``queue_depth`` or has been continuously non-empty for longer than
   ``max_round_lag``, new writes get ``429`` with a ``Retry-After``
@@ -83,6 +85,8 @@ class PlatformServer:
         self._backlog_since: float | None = None
         self._tick = 0
         self._in_tick = False
+        #: Loop time the last tick finished (None = no tick yet).
+        self._last_tick_end: float | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -186,7 +190,13 @@ class PlatformServer:
         while True:
             batch = [await self._queue.get()]
             window = self.config.batch_window
-            if window > 0:
+            # Linger for company only when writes are arriving back to
+            # back; at an idle server the window would be pure latency.
+            busy = (
+                self._last_tick_end is not None
+                and loop.time() - self._last_tick_end < window
+            )
+            if busy:
                 deadline = loop.time() + window
                 while len(batch) < self.config.max_batch:
                     remaining = deadline - loop.time()
@@ -204,6 +214,7 @@ class PlatformServer:
                 ):
                     batch.append(self._queue.get_nowait())
             self._apply_batch(batch)
+            self._last_tick_end = loop.time()
             if not self._queue.qsize():
                 self._backlog_since = None
 

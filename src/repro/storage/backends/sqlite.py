@@ -73,7 +73,9 @@ class ListingSpec:
 
 
 #: The hot path of the platform's serving tier: "which tasks does this
-#: worker currently stand in relation to?" — the worker-page query.
+#: worker currently stand in relation to?" — the worker-page query.  The
+#: relationship table holds only worker-driven states (derived Eligible
+#: is in-memory ledger state), so the listing does too.
 WORKER_PAGE_LISTING = ListingSpec(
     name="worker_page",
     source="relationship",

@@ -7,9 +7,11 @@ updates, ad-hoc task posts and time steps.  One instance runs the
 dirty-tracked incremental round, the other the recompute-everything
 ``full`` round.  After every scenario the persistent state — the
 relationship ledger, the task pool and the team registry, i.e. everything
-the storage engine holds — must be byte-identical, and the incremental
-instance must additionally pass its own from-scratch eligibility
-cross-check.
+the storage engine holds — must be byte-identical, every worker's
+``eligible_tasks`` and the ledger status of every pending root task ×
+worker pair (Eligible is derived in-memory state, not rows) must agree,
+and the incremental instance must additionally pass its own
+from-scratch eligibility cross-check.
 
 The CI ``platform-diff`` job runs this module with
 ``PLATFORM_DIFF_EXAMPLES=40``, mirroring the ``engine-diff`` oracle gate;
@@ -79,6 +81,27 @@ def _state_fingerprint(platform: Crowd4U) -> str:
         for team in platform.teams.all()
     )
     return repr((relationships, tasks, teams))
+
+
+def _eligibility_view(platform: Crowd4U) -> tuple:
+    """The served eligibility surface: every worker's user-page task list
+    and the ledger status of every pending root task × worker pair."""
+    workers = platform.workers.ids()
+    listed = [
+        (worker_id, [t.id for t in platform.eligible_tasks(worker_id)])
+        for worker_id in workers
+    ]
+    statuses = [
+        (task.id, worker_id, platform.ledger.status(worker_id, task.id))
+        for task in platform.pool.pending_root_tasks()
+        for worker_id in workers
+    ]
+    return listed, statuses
+
+
+def _assert_lockstep(pair: tuple[Crowd4U, Crowd4U]) -> None:
+    assert _state_fingerprint(pair[0]) == _state_fingerprint(pair[1])
+    assert _eligibility_view(pair[0]) == _eligibility_view(pair[1])
 
 
 def _drive(pair: tuple[Crowd4U, Crowd4U], rng: random.Random) -> None:
@@ -180,12 +203,12 @@ def test_incremental_matches_full_recompute(seed: int) -> None:
         )
     for _ in range(40):
         _drive(pair, rng)
-        assert _state_fingerprint(pair[0]) == _state_fingerprint(pair[1])
+        _assert_lockstep(pair)
     # Final settled rounds, still in lockstep.
     for _ in range(3):
         pair[0].step(cross_check=True)
         pair[1].step(full=True)
-        assert _state_fingerprint(pair[0]) == _state_fingerprint(pair[1])
+        _assert_lockstep(pair)
     # The incremental instance must actually have skipped work.
     stats = pair[0].stats
     assert stats.eligibility_pairs_checked + stats.eligibility_pairs_skipped > 0

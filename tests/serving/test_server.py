@@ -321,6 +321,38 @@ class TestAdmission:
 
         run(go())
 
+    def test_window_opens_only_while_writes_keep_coming(self):
+        # A lone write at an idle server does not wait out the (huge)
+        # window; the burst right behind it lingers and coalesces until
+        # max_batch fills the tick.
+        async def go():
+            platform = make_platform()
+            config = ServingConfig(batch_window=5.0, max_batch=8)
+            async with PlatformServer(platform, config) as server:
+                address = server.address
+
+                async def register(i: int):
+                    return await http_request(
+                        address[0],
+                        address[1],
+                        "POST",
+                        "/workers",
+                        json_body={"name": f"w{i}", "factors": FACTORS},
+                    )
+
+                first = await asyncio.wait_for(register(0), 2.0)
+                assert first.parsed_json()["ok"]
+                assert server.stats.ticks == 1
+                burst = await asyncio.wait_for(
+                    asyncio.gather(*(register(i) for i in range(1, 9))), 2.0
+                )
+                assert all(r.parsed_json()["ok"] for r in burst)
+                assert server.stats.ticks == 2
+            assert len(platform.workers) == 9
+            platform.close()
+
+        run(go())
+
     def test_queue_depth_backpressure(self):
         async def go():
             platform = make_platform()
