@@ -7,16 +7,18 @@ Expected shape: semi-naive wins super-linearly with recursion depth, and
 the monotone continuation is far cheaper than recomputation.
 """
 
+import statistics
 import time
 
-from repro.cylog import SemiNaiveEngine, naive_evaluate, parse_program
+from repro.cylog import EngineStats, SemiNaiveEngine, naive_evaluate, parse_program
 from repro.metrics import Collector, format_stats_table, format_table
 
 from fastmode import pick
 
 CHAIN_SIZES = pick((50, 100, 200, 400), (20, 40))
 
-# E10c — cost-based planner vs the legacy (seed) planner at scale.
+# E10c — the semi-naive engine (cost-based planner, delta-first rewrites)
+# vs the naive-evaluation oracle at scale.
 SCALE_CHAINS = pick(100, 10)
 SCALE_DEPTH = pick(100, 10)
 SCALE_WORKERS = pick(10_000, 500)
@@ -30,34 +32,65 @@ SCALE_RULES = """
     region_size(R, count<W>) :- worker(W, R).
 """
 
+#: Each timed evaluation repeats until this much wall time has accumulated
+#: and the median is recorded: a smoke-size evaluation takes a few
+#: milliseconds, so a single-shot ratio of two of them would be timer noise.
+MIN_TIMED_S = 0.05
 
-def _scale_engine(planner: str) -> SemiNaiveEngine:
+
+def _scale_facts() -> dict[str, list[tuple]]:
     """10k+ base facts: recursive reachability over many chains, a
     small-x-large join and an aggregate — the planner-sensitive shapes."""
-    engine = SemiNaiveEngine(parse_program(SCALE_RULES), planner=planner)
-    engine.add_facts("link", [
-        (c * 1000 + i, c * 1000 + i + 1)
-        for c in range(SCALE_CHAINS)
-        for i in range(SCALE_DEPTH)
-    ])
-    engine.add_facts("source", [(c * 1000,) for c in range(SCALE_CHAINS)])
-    engine.add_facts("worker", [
-        (f"w{i}", i % SCALE_REGIONS) for i in range(SCALE_WORKERS)
-    ])
-    engine.add_facts("senior", [(f"s{i}", i) for i in range(20)])
-    return engine
+    return {
+        "link": [
+            (c * 1000 + i, c * 1000 + i + 1)
+            for c in range(SCALE_CHAINS)
+            for i in range(SCALE_DEPTH)
+        ],
+        "source": [(c * 1000,) for c in range(SCALE_CHAINS)],
+        "worker": [(f"w{i}", i % SCALE_REGIONS) for i in range(SCALE_WORKERS)],
+        "senior": [(f"s{i}", i) for i in range(20)],
+    }
 
 
-def test_e10c_cost_planner_vs_legacy_at_scale(emit, emit_bench_json):
-    engines, times, results = {}, {}, {}
-    for planner in ("cost", "legacy"):
-        engine = _scale_engine(planner)
-        start = time.perf_counter()
-        result = engine.run()
-        times[planner] = time.perf_counter() - start
-        engines[planner], results[planner] = engine, result
+def _timed(evaluate, *args):
+    """Call ``evaluate(*args)`` (returning ``(outcome, seconds)``) until
+    at least ``MIN_TIMED_S`` has accumulated; returns the last outcome,
+    the median time and the number of repeats."""
+    samples = []
+    while True:
+        outcome, elapsed = evaluate(*args)
+        samples.append(elapsed)
+        if sum(samples) >= MIN_TIMED_S:
+            return outcome, statistics.median(samples), len(samples)
+
+
+def _semi_naive_run(program, facts):
+    engine = SemiNaiveEngine(program)
+    for predicate, rows in facts.items():
+        engine.add_facts(predicate, rows)
+    start = time.perf_counter()
+    result = engine.run()
+    return (result, engine.stats), time.perf_counter() - start
+
+
+def _naive_run(program, facts):
+    stats = EngineStats()
+    start = time.perf_counter()
+    result = naive_evaluate(program, facts, stats=stats)
+    return (result, stats), time.perf_counter() - start
+
+
+def test_e10c_semi_naive_vs_naive_at_scale(emit, emit_bench_json):
+    program = parse_program(SCALE_RULES)
+    facts = _scale_facts()
+    base_facts = sum(len(rows) for rows in facts.values())
+    outcomes, times, repeats = {}, {}, {}
+    for name, run in (("cost", _semi_naive_run), ("naive", _naive_run)):
+        outcomes[name], times[name], repeats[name] = _timed(run, program, facts)
+    cost_result, naive_result = outcomes["cost"][0], outcomes["naive"][0]
     for predicate in ("reach", "mentor_pair", "region_size"):
-        assert results["cost"].facts(predicate) == results["legacy"].facts(predicate)
+        assert cost_result.facts(predicate) == naive_result.facts(predicate)
 
     # Burst arrival: extend every chain by one link, folded in as ONE
     # incremental continuation (the batched per-task-completion path).
@@ -67,12 +100,8 @@ def test_e10c_cost_planner_vs_legacy_at_scale(emit, emit_bench_json):
         "reach(S, Y) :- link(X, Y), reach(S, X)."
         "reach(S, Y) :- source(S), link(S, Y)."
     ))
-    monotone.add_facts("link", [
-        (c * 1000 + i, c * 1000 + i + 1)
-        for c in range(SCALE_CHAINS)
-        for i in range(SCALE_DEPTH)
-    ])
-    monotone.add_facts("source", [(c * 1000,) for c in range(SCALE_CHAINS)])
+    monotone.add_facts("link", facts["link"])
+    monotone.add_facts("source", facts["source"])
     monotone.run()
     burst = [
         (c * 1000 + SCALE_DEPTH, c * 1000 + SCALE_DEPTH + 1)
@@ -85,48 +114,46 @@ def test_e10c_cost_planner_vs_legacy_at_scale(emit, emit_bench_json):
     assert monotone.runs == 1  # one continuation, not a recomputation
     assert monotone.stats.incremental_runs == 1
 
-    speedup = times["legacy"] / times["cost"]
+    speedup = times["naive"] / times["cost"]
     stats_rows = []
-    for planner in ("cost", "legacy"):
-        stats = engines[planner].stats.as_dict()
+    for name in ("cost", "naive"):
+        stats = outcomes[name][1].as_dict()
         stats_rows.append((
-            planner,
-            round(times[planner] * 1000, 1),
-            stats["rounds"],
+            name,
+            round(times[name] * 1000, 1),
+            repeats[name],
             stats["rules_fired"],
             stats["tuples_joined"],
             stats["index_hits"],
             stats["full_scans"],
         ))
     collector = Collector()
-    engines["cost"].stats.to_collector(collector)
+    outcomes["cost"][1].to_collector(collector)
     emit_bench_json(
         "E10c",
         {
-            "base_facts": SCALE_CHAINS * SCALE_DEPTH + SCALE_WORKERS + 20,
+            "base_facts": base_facts,
+            "min_timed_s": MIN_TIMED_S,
             "configs": [
                 {
-                    "planner": planner,
-                    "run_ms": round(times[planner] * 1000, 2),
-                    "ops_per_s": round(
-                        (SCALE_CHAINS * SCALE_DEPTH + SCALE_WORKERS + 20)
-                        / times[planner],
-                        1,
-                    ),
+                    "evaluator": name,
+                    "run_ms": round(times[name] * 1000, 2),
+                    "repeats": repeats[name],
+                    "ops_per_s": round(base_facts / times[name], 1),
                 }
-                for planner in ("cost", "legacy")
+                for name in ("cost", "naive")
             ],
-            "speedup_cost_vs_legacy": round(speedup, 2),
+            "speedup_cost_vs_naive": round(speedup, 2),
             "burst_continuation_ms": round(burst_s * 1000, 3),
         },
     )
     emit(format_table(
-        ("planner", "run (ms)", "rounds", "rules fired", "tuples joined",
-         "index hits", "full scans"),
+        ("evaluator", "run (ms, median)", "repeats", "rules fired",
+         "tuples joined", "index hits", "full scans"),
         stats_rows,
         title=(
-            "E10c — cost-based join planning at scale "
-            f"({SCALE_CHAINS * SCALE_DEPTH + SCALE_WORKERS + 20} base facts): "
+            "E10c — semi-naive (cost planner) vs naive evaluation at scale "
+            f"({base_facts} base facts): "
             f"{speedup:.1f}x speedup, burst continuation "
             f"{round(burst_s * 1000, 2)} ms "
             f"(collector: {len(collector.counters)} engine counters)"

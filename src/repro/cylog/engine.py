@@ -67,7 +67,6 @@ from repro.cylog.incremental import (
 from repro.cylog.indexes import IntervalHierarchyIndex, TupleIndexSet
 from repro.cylog.pretty import explain_rule
 from repro.cylog.safety import (
-    PLANNERS,
     CompiledProgram,
     CompiledRule,
     IntervalSpec,
@@ -128,15 +127,13 @@ class EngineStats:
     #: Replica-sync telemetry (distributed executors only; zero elsewhere).
     #: ``sync_rows`` / ``sync_bytes`` measure the engine-side mutation
     #: stream — net rows flushed to worker replicas and the canonical
-    #: payload size — so they are identical at any worker count and in any
-    #: replica mode.  ``replica_backfills`` / ``shared_mem_remaps`` count
-    #: executor-side partition movements (lazy backfills on subscription
-    #: growth, shared-memory segment rebuilds) and depend on how many
-    #: workers the partitions are spread over.
+    #: payload size — so they are identical at any worker count.
+    #: ``replica_backfills`` counts executor-side partition movements (lazy
+    #: backfills on subscription growth) and depends on how many workers
+    #: the partitions are spread over.
     sync_rows: int = 0
     sync_bytes: int = 0
     replica_backfills: int = 0
-    shared_mem_remaps: int = 0
     #: Mid-stream recompilations triggered by an observed write rate
     #: crossing an exchange break-even (write-aware exchange costing).
     write_replans: int = 0
@@ -173,7 +170,6 @@ class EngineStats:
             "sync_rows": self.sync_rows,
             "sync_bytes": self.sync_bytes,
             "replica_backfills": self.replica_backfills,
-            "shared_mem_remaps": self.shared_mem_remaps,
             "write_replans": self.write_replans,
             "interval_scans": self.interval_scans,
             "interval_renumbers": self.interval_renumbers,
@@ -767,7 +763,7 @@ class SemiNaiveEngine:
     through trigger plans and recompute-and-diff — so ``revoke``-style
     updates no longer force a full recomputation.  ``run(full=True)`` is
     the from-scratch escape hatch (it also re-plans joins against the live
-    base-fact cardinalities when ``planner="cost"``).
+    base-fact cardinalities).
 
     With a :class:`~repro.cylog.sharding.ShardConfig` (or the ``shards`` /
     ``executor`` / ``max_workers`` shorthand) the store is hash-sharded by
@@ -783,7 +779,6 @@ class SemiNaiveEngine:
     def __init__(
         self,
         program: Program | CompiledProgram,
-        planner: str | None = None,
         shard_config: "ShardConfig | None" = None,
         shards: int | None = None,
         executor: str | None = None,
@@ -812,29 +807,20 @@ class SemiNaiveEngine:
         self._plan_shards = shard_config.plan_shards
         self._interval_enabled = shard_config.interval
         if isinstance(program, CompiledProgram):
-            self.planner = planner or program.planner
-            if self.planner not in PLANNERS:
-                raise ValueError(
-                    f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
-                )
             if (
-                self.planner == program.planner
-                and program.shards == self._plan_shards
+                program.shards == self._plan_shards
                 and program.interval == self._interval_enabled
             ):
                 self.compiled = program
-            else:  # recompile so planner / shard layout actually take effect
+            else:  # recompile so the shard layout actually takes effect
                 self.compiled = compile_program(
                     program.program,
-                    planner=self.planner,
                     shards=self._plan_shards,
                     interval=self._interval_enabled,
                 )
         else:
-            self.planner = planner or "cost"
             self.compiled = compile_program(
                 program,
-                planner=self.planner,
                 shards=self._plan_shards,
                 interval=self._interval_enabled,
             )
@@ -964,16 +950,15 @@ class SemiNaiveEngine:
         """Install a fresh baseline in the process workers (full run)."""
         if self._unsynced is None:
             return
-        base = {
-            predicate: tuple(rows)
-            for predicate, rows in self._base_facts.items()
-            if rows
-        }
         self._executor.reset(  # type: ignore[attr-defined]
             self._active,
-            base,
+            {
+                predicate: self._base_arity[predicate]
+                for predicate, rows in self._base_facts.items()
+                if rows
+            },
+            self._partition_provider(store),
             n_shards=self.shard_config.shards,
-            partition_provider=self._partition_provider(store),
         )
         self._unsynced = self._new_unsynced()
 
@@ -982,9 +967,8 @@ class SemiNaiveEngine:
 
         ``sync_rows`` counts the net rows flushed and ``sync_bytes`` the
         canonical payload size the executor reports — both are functions
-        of the mutation stream alone, identical at any worker count and
-        in any replica mode (what each *worker* actually receives is the
-        executor's per-mode telemetry).
+        of the mutation stream alone, identical at any worker count (what
+        each *worker* actually receives is the executor's telemetry).
         """
         if self._unsynced:
             added, removed = self._unsynced.as_partition_mappings()
@@ -1097,7 +1081,6 @@ class SemiNaiveEngine:
         if telemetry is not None:
             counters = telemetry()
             self.stats.replica_backfills = counters["replica_backfills"]
-            self.stats.shared_mem_remaps = counters["shared_mem_remaps"]
         return result
 
     def facts(self, predicate: str) -> frozenset:
@@ -1120,10 +1103,6 @@ class SemiNaiveEngine:
         Skipped when the cardinalities are unchanged since the last full
         run (recompilation and plan pretty-printing are then pure waste).
         """
-        if self.planner != "cost":
-            if not self.stats.plans:
-                self._record_plans()
-            return
         cardinalities = {
             predicate: float(len(rows))
             for predicate, rows in self._base_facts.items()
@@ -1143,7 +1122,6 @@ class SemiNaiveEngine:
         self._active = compile_program(
             self.compiled.program,
             cardinalities=cardinalities,
-            planner=self.planner,
             shards=self._plan_shards,
             write_rates=self._write_rates or None,
             interval=self._interval_enabled,
@@ -1164,8 +1142,6 @@ class SemiNaiveEngine:
     ) -> None:
         """Fold one incremental run's net deltas into the per-predicate
         write-rate EWMA (see ``WRITE_RATE_ALPHA``)."""
-        if self.planner != "cost":
-            return
         samples: dict[str, float] = {}
         for mapping in (added, removed):
             for predicate, rows in mapping.items():
@@ -1190,7 +1166,7 @@ class SemiNaiveEngine:
         """True when an observed write rate crossed the break-even of an
         exchange/chained decision in the active plans, i.e. recompiling
         with the rates would flip at least one access path."""
-        if self.planner != "cost" or not self.shard_config.exchange:
+        if not self.shard_config.exchange:
             return False
         if not self._write_rates and not self._planned_write_rates:
             return False
@@ -1598,8 +1574,7 @@ class SemiNaiveEngine:
         removed row) and additions through the rule's delta-first plans
         (every solution a new row participates in names its group).  A
         changed *negated* input stays a full recompute — provenance only
-        covers positive rows — as do a degraded synthetic support index
-        and the ``legacy`` planner (it compiles no delta-first rewrites).
+        covers positive rows — as does a degraded synthetic support index.
         """
         body = rule.rule.body
         atoms = [literal for literal in body if isinstance(literal, Atom)]
@@ -1641,12 +1616,9 @@ class SemiNaiveEngine:
                 literal = step.literal
                 if not isinstance(literal, Atom) or literal.predicate != atom_pred:
                     continue
-                plan = rule.delta_plans.get(position)
-                if plan is None:
-                    return None  # legacy planner: no delta-first rewrites
                 localized = True
                 for bindings in solutions(
-                    plan,
+                    rule.delta_plans[position],
                     store,
                     delta_position=0,
                     delta_relation=delta_rel,
@@ -1781,12 +1753,12 @@ class SemiNaiveEngine:
         self,
         rule_index: int,
         rule: CompiledRule,
-        position: int,
-        delta_plan: JoinPlan | None,
+        delta_plan: JoinPlan,
         delta_rel: Relation,
         store: RelationStore,
     ) -> Callable[[], tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
-        """One evaluation task: fire ``rule`` against one delta partition.
+        """One evaluation task: fire ``rule`` against one delta partition
+        through its delta-first rewrite (the delta atom leads the join).
 
         The task only *reads* the store and counts work into a scratch
         stats record; the caller merges derived tuples, supports and
@@ -1796,26 +1768,15 @@ class SemiNaiveEngine:
         def task() -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
             scratch = EngineStats()
             scratch.shard_tasks = 1
-            if delta_plan is not None:
-                # Delta-first rewrite: the delta atom leads the join.
-                bindings_iter = solutions(
+            derived = [
+                (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
+                for b in solutions(
                     delta_plan,
                     store,
                     delta_position=0,
                     delta_relation=delta_rel,
                     stats=scratch,
                 )
-            else:
-                bindings_iter = solutions(
-                    rule.join_plan,
-                    store,
-                    delta_position=position,
-                    delta_relation=delta_rel,
-                    stats=scratch,
-                )
-            derived = [
-                (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
-                for b in bindings_iter
             ]
             return derived, scratch
 
@@ -1866,7 +1827,7 @@ class SemiNaiveEngine:
             #: shard id the partition's aligned probes land on, ``None``
             #: when unsplit — and the delta partition itself).
             jobs: list[
-                tuple[CompiledRule, int, int, JoinPlan | None, int | None, Relation]
+                tuple[CompiledRule, int, int, JoinPlan, int | None, Relation]
             ] = []
             for rule_index, rule in plain_rules:
                 for position, step in enumerate(rule.join_plan.steps):
@@ -1876,17 +1837,14 @@ class SemiNaiveEngine:
                     if literal.predicate not in delta_relations:
                         continue
                     delta_rel = delta_relations[literal.predicate]
-                    delta_plan = rule.delta_plans.get(position)
+                    delta_plan = rule.delta_plans[position]
                     stats.rules_fired += 1
                     parts: list[tuple[int | None, Relation]] = [(None, delta_rel)]
                     if fan_out and n_shards > 1 and len(delta_rel) > 1:
-                        route = 0
-                        if delta_plan is not None and delta_plan.route_position:
-                            route = delta_plan.route_position
                         parts = [
                             (shard_id, _relation_from(rows, delta_rel))
                             for shard_id, rows in split_rows_by_shard(
-                                delta_rel, n_shards, route
+                                delta_rel, n_shards, delta_plan.route_position or 0
                             )
                         ]
                     for shard_id, part in parts:
@@ -1912,25 +1870,25 @@ class SemiNaiveEngine:
                     self._demote_to_serial()
                     results = [
                         self._rule_delta_task(
-                            rule_index, rule, position, delta_plan, part, store
+                            rule_index, rule, delta_plan, part, store
                         )()
-                        for rule, rule_index, position, delta_plan, _, part in jobs
+                        for rule, rule_index, _, delta_plan, _, part in jobs
                     ]
             elif fan_out and len(jobs) > 1:
                 results = self._executor.map(
                     [
                         self._rule_delta_task(
-                            rule_index, rule, position, delta_plan, part, store
+                            rule_index, rule, delta_plan, part, store
                         )
-                        for rule, rule_index, position, delta_plan, _, part in jobs
+                        for rule, rule_index, _, delta_plan, _, part in jobs
                     ]
                 )
             else:
                 results = [
                     self._rule_delta_task(
-                        rule_index, rule, position, delta_plan, part, store
+                        rule_index, rule, delta_plan, part, store
                     )()
-                    for rule, rule_index, position, delta_plan, _, part in jobs
+                    for rule, rule_index, _, delta_plan, _, part in jobs
                 ]
             next_delta: dict[str, set[Tuple_]] = {}
             for (rule, *_), (derived, scratch) in zip(jobs, results):

@@ -7,7 +7,13 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core import Crowd4U, HumanFactors
-from repro.cylog import CyLogProcessor, ShardConfig
+from repro.cylog import (
+    CyLogProcessor,
+    SemiNaiveEngine,
+    ShardConfig,
+    compile_program,
+    parse_program,
+)
 from repro.serving import ServingConfig
 
 
@@ -76,15 +82,22 @@ class TestCrowd4UShim:
 
     def test_legacy_kwargs_removed(self):
         # The PR-6 deprecation shims graduated to removal: the old
-        # per-knob keywords are hard TypeErrors now, not warnings.
-        for kwargs in (
-            {"shards": 2},
-            {"executor": "thread"},
-            {"max_workers": 2},
-            {"exchange": False},
+        # per-knob keywords are hard TypeErrors now, not warnings.  The
+        # process-replica layout and join-planner selectors went the same
+        # way: one replica layout and one planner remain.
+        program = parse_program("p(1). q(X) :- p(X).")
+        for call in (
+            lambda: Crowd4U(seed=1, shards=2),
+            lambda: Crowd4U(seed=1, executor="thread"),
+            lambda: Crowd4U(seed=1, max_workers=2),
+            lambda: Crowd4U(seed=1, exchange=False),
+            lambda: RuntimeConfig(replica_mode="pruned"),
+            lambda: ShardConfig(replica_mode="pruned"),
+            lambda: SemiNaiveEngine(program, planner="cost"),
+            lambda: compile_program(program, planner="cost"),
         ):
             with pytest.raises(TypeError):
-                Crowd4U(seed=1, **kwargs)
+                call()
 
     def test_config_paths_equivalent_across_layouts(self):
         old = Crowd4U(seed=5, config=RuntimeConfig())

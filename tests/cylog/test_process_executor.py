@@ -147,12 +147,57 @@ class TestEngineLockstep:
             CyLogProcessor("p(1).", shard_config=_process_config())
 
 
+class _Partitions:
+    """An engine-store stand-in for the executor protocol tests: holds the
+    authoritative rows (one shard), serves them as the reset's partition
+    provider and mirrors every change into a (predicate, shard)-keyed
+    sync, exactly as the engine's PartitionedLedger flush does."""
+
+    def __init__(self, **rows) -> None:
+        self.rows = {pred: set(values) for pred, values in rows.items()}
+
+    def provider(self, predicate, shard):
+        rows = self.rows.get(predicate)
+        if rows is None:
+            return None
+        return len(next(iter(rows))), tuple(sorted(rows)) if shard == 0 else ()
+
+    def reset(self, executor, compiled) -> None:
+        arities = {pred: len(next(iter(rows))) for pred, rows in self.rows.items()}
+        executor.reset(compiled, arities, self.provider)
+
+    def sync(self, executor, adds=None, removes=None) -> int:
+        adds, removes = adds or {}, removes or {}
+        for pred, values in removes.items():
+            self.rows[pred].difference_update(values)
+        for pred, values in adds.items():
+            self.rows.setdefault(pred, set()).update(values)
+        return executor.sync(
+            {(pred, 0): frozenset(values) for pred, values in adds.items()},
+            {(pred, 0): frozenset(values) for pred, values in removes.items()},
+        )
+
+
+def _full(rule_index: int):
+    """A round-0 task descriptor: the rule's whole join plan."""
+    return (rule_index, None, None, None)
+
+
+#: A delta task for rule 0 that lacks its delta rows: the parent routes
+#: and backfills it normally, the worker fails evaluating it.
+_BROKEN = (0, 0, None, None)
+
+
+def _rows(result) -> set:
+    return {row for row, _ in result[0]}
+
+
 class TestProtocol:
     def test_dispatch_before_reset_raises(self):
         executor = ProcessExecutor(max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="before reset"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([_full(0)])
         finally:
             executor.close()
 
@@ -160,9 +205,9 @@ class TestProtocol:
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=1)
         try:
-            executor.reset(compiled, {"e": ((1,),)})
+            _Partitions(e={(1,)}).reset(executor, compiled)
             with pytest.raises(RuntimeError, match="process worker failed"):
-                executor.run_rule_tasks([(99, None, None)])  # no such rule
+                executor.run_rule_tasks([_BROKEN])
         finally:
             executor.close()
 
@@ -170,47 +215,63 @@ class TestProtocol:
         """One failing task must not desync the pipe protocol: the other
         workers' replies are drained, and the next dispatch returns fresh
         (not stale) results."""
-        compiled = compile_program(parse_program("d(X) :- e(X).\nf(X) :- g(X)."))
+        compiled = compile_program(
+            parse_program("d(X) :- e(X).\nf(X) :- g(X).\nh(X) :- e(X).")
+        )
         executor = ProcessExecutor(max_workers=2)
         try:
-            executor.reset(compiled, {"e": ((1,),), "g": ((9,),)})
+            _Partitions(e={(1,)}, g={(9,)}).reset(executor, compiled)
             with pytest.raises(RuntimeError, match="process worker failed"):
-                executor.run_rule_tasks([(99, None, None), (1, None, None)])
-            first, second = executor.run_rule_tasks(
-                [(0, None, None), (0, None, None)]
-            )
-            assert {row for row, _ in first[0]} == {(1,)}
-            assert {row for row, _ in second[0]} == {(1,)}
+                executor.run_rule_tasks([_BROKEN, _full(2)])
+            # Tasks route by a hash of their class: the failing and the
+            # healthy task ran on different workers, so both pipes
+            # carried a batch.
+            assert executor._assign(_BROKEN) != executor._assign(_full(2))
+            first, second = executor.run_rule_tasks([_full(0), _full(2)])
+            assert _rows(first) == {(1,)}
+            assert _rows(second) == {(1,)}
         finally:
             executor.close()
 
     def test_results_come_back_in_submission_order(self):
-        compiled = compile_program(parse_program("d(X) :- e(X).\nf(X) :- g(X)."))
+        compiled = compile_program(
+            parse_program("d(X) :- e(X).\nf(X) :- e(X).\nh(X) :- g(X).")
+        )
         executor = ProcessExecutor(max_workers=3)
         try:
-            executor.reset(compiled, {"e": ((1,), (2,)), "g": ((9,),)})
-            results = executor.run_rule_tasks(
-                [(0, None, None), (1, None, None), (0, None, None)]
-            )
+            _Partitions(e={(1,), (2,)}, g={(9,)}).reset(executor, compiled)
+            results = executor.run_rule_tasks([_full(0), _full(2), _full(0)])
+            # The middle task ran on another worker than its neighbours.
+            assert executor._assign(_full(2)) != executor._assign(_full(0))
             assert len(results) == 3
             first, second, third = results
-            assert {row for row, _ in first[0]} == {(1,), (2,)}
-            assert {row for row, _ in second[0]} == {(9,)}
-            assert {row for row, _ in third[0]} == {(1,), (2,)}
+            assert _rows(first) == {(1,), (2,)}
+            assert _rows(second) == {(9,)}
+            assert _rows(third) == {(1,), (2,)}
         finally:
             executor.close()
 
     def test_sync_reaches_replicas_spawned_later(self):
-        """Syncs queued before the pool spawns are replayed on first
-        dispatch — the lazy-spawn path."""
+        """Syncs queued before the pool spawns are reflected on first
+        dispatch (the lazy-spawn path: the fresh worker's partitions are
+        backfilled from the authoritative store), and syncs after it
+        stream to the subscribed replica without another backfill."""
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=2)
+        source = _Partitions(e={(1,)})
         try:
-            executor.reset(compiled, {"e": ((1,),)})
-            executor.sync({"e": ((2,), (3,))}, {})
-            executor.sync({}, {"e": ((1,),)})
-            (result,) = executor.run_rule_tasks([(0, None, None)])
-            assert {row for row, _ in result[0]} == {(2,), (3,)}
+            source.reset(executor, compiled)
+            assert source.sync(executor, adds={"e": {(2,), (3,)}}) > 0
+            source.sync(executor, removes={"e": {(1,)}})
+            (result,) = executor.run_rule_tasks([_full(0)])
+            assert _rows(result) == {(2,), (3,)}
+            backfills = executor.telemetry()["replica_backfills"]
+            source.sync(executor, adds={"e": {(4,)}}, removes={"e": {(2,)}})
+            (result,) = executor.run_rule_tasks([_full(0)])
+            assert _rows(result) == {(3,), (4,)}
+            telemetry = executor.telemetry()
+            assert telemetry["replica_backfills"] == backfills
+            assert telemetry["sync_rows_shipped"] == 2
         finally:
             executor.close()
 
@@ -220,15 +281,15 @@ class TestProtocol:
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=2)
         try:
-            executor.reset(compiled, {"e": ((1,),)})
-            executor.run_rule_tasks([(0, None, None)])  # spawn the pool
+            _Partitions(e={(1,)}).reset(executor, compiled)
+            executor.run_rule_tasks([_full(0)])  # spawn the pool
             for proc in executor._procs:
                 proc.terminate()
                 proc.join(timeout=5)
             with pytest.raises(ProcessPoolBrokenError, match="worker died"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([_full(0)])
             with pytest.raises(RuntimeError, match="closed"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([_full(0)])
         finally:
             executor.close()
 
@@ -238,16 +299,19 @@ class TestProtocol:
         fresh reset() (what an engine full run issues) re-opens the pool."""
         executor = ProcessExecutor(max_workers=1)
         compiled = compile_program(parse_program("d(X) :- e(X)."))
-        executor.reset(compiled, {"e": ((1,),)})
-        executor.sync({"e": ((2,),)}, {})
-        executor.run_rule_tasks([(0, None, None)])
+        source = _Partitions(e={(1,)})
+        source.reset(executor, compiled)
+        executor.run_rule_tasks([_full(0)])
+        source.sync(executor, adds={"e": {(2,)}})
+        executor.run_rule_tasks([_full(0)])
         executor.close()
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
-            executor.run_rule_tasks([(0, None, None)])
+            executor.run_rule_tasks([_full(0)])
         try:
-            executor.reset(compiled, {"e": ((1,), (2,), (3,))})
-            (result,) = executor.run_rule_tasks([(0, None, None)])
-            assert {row for row, _ in result[0]} == {(1,), (2,), (3,)}
+            source.sync(executor, adds={"e": {(3,)}})
+            source.reset(executor, compiled)
+            (result,) = executor.run_rule_tasks([_full(0)])
+            assert _rows(result) == {(1,), (2,), (3,)}
         finally:
             executor.close()
