@@ -7,7 +7,7 @@ support-index memory budget and the serving front-end — into one
 validated value object:
 
 >>> from repro import Crowd4U, RuntimeConfig
->>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="thread"))
+>>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="process"))
 
 ``config=`` is the only spelling: the per-knob keywords deprecated in
 the PR-6 redesign have been removed.  The serving slice nests as a
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
 _BACKENDS = ("memory", "wal", "sqlite")
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,11 @@ class RuntimeConfig:
 
     Evaluation: ``shards`` / ``executor`` / ``max_workers`` /
     ``exchange`` configure the CyLog engine exactly like
-    :class:`~repro.cylog.sharding.ShardConfig`.  With
-    ``executor="process"`` each worker holds a shard-pruned replica: only
-    the (relation, shard) partitions its tasks probe, backfilled lazily
-    (see :mod:`repro.cylog.procpool`).
+    :class:`~repro.cylog.sharding.ShardConfig`.  ``executor`` is
+    ``"serial"`` (inline evaluation) or ``"process"``: a pool of
+    ``max_workers`` worker processes (4 when ``None``), each holding a
+    shard-pruned replica — only the (relation, shard) partitions its
+    tasks probe, backfilled lazily (see :mod:`repro.cylog.procpool`).
 
     Memory: ``support_budget`` caps how many support entries the
     incremental engine's provenance index may hold; past the cap the
@@ -87,6 +88,10 @@ class RuntimeConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be >= 1 or None, got {self.max_workers}"
+            )
         if self.support_budget is not None and self.support_budget < 0:
             raise ValueError(
                 f"support_budget must be >= 0 or None, got {self.support_budget}"

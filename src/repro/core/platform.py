@@ -27,9 +27,9 @@ and ``step(cross_check=True)`` runs an engine-diff-style oracle that
 verifies the incrementally maintained ledger against a from-scratch
 recomputation.  Work counters live in :class:`PlatformStats`.
 
-Every project's CyLog engine can be hash-sharded and evaluated in
-parallel (``Crowd4U(config=RuntimeConfig(shards=8, executor="thread"))``
-or GIL-free with ``executor="process"`` — see
+Every project's CyLog engine can be hash-sharded
+(``Crowd4U(config=RuntimeConfig(shards=8))``) and evaluated in worker
+processes (``executor="process"`` — see
 :class:`repro.cylog.ShardConfig`): the
 round's eligibility maintenance then consumes the engine's change sets
 *per shard* — the removed-row membership probe
@@ -1031,7 +1031,7 @@ class Crowd4U:
             self.processor(root_task.project_id).run()
 
     def close(self) -> None:
-        """Release every project engine's executor threads and flush the
+        """Stop every project engine's worker processes and flush the
         storage backend (both no-ops in the default configuration)."""
         for processor in self._processors.values():
             processor.close()

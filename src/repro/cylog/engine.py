@@ -24,13 +24,14 @@ first-class deltas.
 The engine is also *shardable* and *parallelisable* (see
 :mod:`repro.cylog.sharding`): with a :class:`ShardConfig` the relation
 store is hash-partitioned by key prefix, the support index shards its
-wildcard reverse index, and evaluation fans out — independent rules (and
-per-shard delta partitions) within a stratum, independent strata within a
-topological batch — to a pluggable executor.  Task results are merged
-serially in submission order, so fixpoints, reported deltas and the
-derivation counters are bit-identical at any worker count; the
-``shard-diff`` CI oracle enforces byte-identical snapshots against the
-single-store engine.
+wildcard reverse index, and on the process executor the rules (and
+per-shard delta partitions) of a stratum ship as task descriptors to
+worker processes (:mod:`repro.cylog.procpool`).  Strata run one after
+another in index order, and task results are merged serially in
+submission order, so fixpoints, reported deltas and the derivation
+counters are bit-identical at any worker count; the ``shard-diff`` CI
+oracle enforces byte-identical snapshots against the single-store
+engine.
 
 :func:`naive_evaluate` exists as an oracle for differential testing and as
 the baseline for the E10 bench.  Both report work counters through
@@ -39,9 +40,7 @@ the baseline for the E10 bench.  Both report work counters through
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cylog.ast import (
@@ -124,7 +123,7 @@ class EngineStats:
     shard_tasks: int = 0
     exchange_hits: int = 0
     chained_lookups: int = 0
-    #: Replica-sync telemetry (distributed executors only; zero elsewhere).
+    #: Replica-sync telemetry (process executor only; zero elsewhere).
     #: ``sync_rows`` / ``sync_bytes`` measure the engine-side mutation
     #: stream — net rows flushed to worker replicas and the canonical
     #: payload size — so they are identical at any worker count.
@@ -767,13 +766,12 @@ class SemiNaiveEngine:
 
     With a :class:`~repro.cylog.sharding.ShardConfig` (or the ``shards`` /
     ``executor`` / ``max_workers`` shorthand) the store is hash-sharded by
-    key prefix and evaluation fans out to the configured executor:
-    independent strata inside a topological batch run as one task each,
-    and inside a stratum each (rule, delta shard) partition is one task.
-    Tasks only *read* shared state and count work in scratch
+    key prefix; on the process executor each (rule, delta shard)
+    partition of a big enough round is one task shipped to a worker
+    process.  Tasks only *read* replica state and count work in scratch
     ``EngineStats``; the engine merges derived tuples, supports and
     counters serially in submission order, so results are bit-identical
-    at any worker count.  ``close()`` releases executor threads.
+    at any worker count.  ``close()`` stops the worker processes.
     """
 
     def __init__(
@@ -798,12 +796,11 @@ class SemiNaiveEngine:
                 "pass either shard_config or shards/executor/max_workers, not both"
             )
         self.shard_config = shard_config
+        #: The process pool, or ``None`` when every task runs inline.
+        #: Workers cannot see the engine's store: tasks ship as
+        #: descriptors and store mutations stream to worker replicas via
+        #: ``_unsynced``.
         self._executor = shard_config.build_executor()
-        self._parallel = self._executor.name != "serial"
-        #: Process-based executors cannot see the engine's store: tasks
-        #: ship as descriptors, stratum fan-out stays inline, and store
-        #: mutations are streamed to worker replicas via ``_unsynced``.
-        self._distributed = self._executor.distributed
         self._plan_shards = shard_config.plan_shards
         self._interval_enabled = shard_config.interval
         if isinstance(program, CompiledProgram):
@@ -826,7 +823,6 @@ class SemiNaiveEngine:
             )
         self._active = self.compiled
         self._strata = self._build_stratum_info()
-        self._batches = self._compute_batches()
         self._planned_cardinalities: dict[str, float] | None = None
         self._base_facts: dict[str, set[Tuple_]] = {}
         #: Arity each base predicate was first used with — retained even
@@ -857,9 +853,10 @@ class SemiNaiveEngine:
         self._extra_repartitions: dict[str, set[int]] = {}
         #: Net store mutations not yet streamed to process workers,
         #: partitioned by (predicate, primary shard) at mutation time so
-        #: flushes ship per-worker slices (``None`` unless the executor is
-        #: distributed).
-        self._unsynced = self._new_unsynced() if self._distributed else None
+        #: flushes ship per-worker slices (``None`` without a process pool).
+        self._unsynced = (
+            self._new_unsynced() if self._executor is not None else None
+        )
         #: Observed write rates (EWMA of net delta rows per run, per
         #: predicate) feeding the write-aware exchange cost model, and the
         #: rates the active plans were compiled against.
@@ -876,9 +873,6 @@ class SemiNaiveEngine:
         self.runs = 0  # full evaluations performed (observability for benches)
 
     # -- sharding / executor plumbing --------------------------------------
-    def _new_lock(self) -> threading.Lock | None:
-        return threading.Lock() if self._parallel else None
-
     def _new_store(self):
         from repro.cylog.sharding import build_store
 
@@ -950,7 +944,7 @@ class SemiNaiveEngine:
         """Install a fresh baseline in the process workers (full run)."""
         if self._unsynced is None:
             return
-        self._executor.reset(  # type: ignore[attr-defined]
+        self._executor.reset(  # type: ignore[union-attr]
             self._active,
             {
                 predicate: self._base_arity[predicate]
@@ -973,7 +967,7 @@ class SemiNaiveEngine:
         if self._unsynced:
             added, removed = self._unsynced.as_partition_mappings()
             self.stats.sync_rows += self._unsynced.row_count()
-            self.stats.sync_bytes += self._executor.sync(  # type: ignore[attr-defined]
+            self.stats.sync_bytes += self._executor.sync(  # type: ignore[union-attr]
                 added, removed
             )
             self._unsynced = self._new_unsynced()
@@ -981,11 +975,9 @@ class SemiNaiveEngine:
     def _new_supports(self) -> SupportIndex:
         if self.shard_config.sharded:
             return ShardedSupportIndex(
-                self.shard_config.shards,
-                lock=self._new_lock(),
-                budget=self._support_budget,
+                self.shard_config.shards, budget=self._support_budget
             )
-        return SupportIndex(lock=self._new_lock(), budget=self._support_budget)
+        return SupportIndex(budget=self._support_budget)
 
     def _demote_to_serial(self) -> None:
         """Permanently fall back to inline evaluation after the process
@@ -996,20 +988,17 @@ class SemiNaiveEngine:
         shipping tasks and syncs.  ``shard_config`` keeps describing the
         requested layout for observability.
         """
-        from repro.cylog.sharding import SerialExecutor
-
         try:
-            self._executor.close()
+            self._executor.close()  # type: ignore[union-attr]
         except Exception:
             pass  # the pool is already broken; closing is best-effort
-        self._executor = SerialExecutor()
-        self._parallel = False
-        self._distributed = False
+        self._executor = None
         self._unsynced = None
 
     def close(self) -> None:
-        """Release the executor's worker threads (no-op when serial)."""
-        self._executor.close()
+        """Stop the process pool's workers (no-op when serial)."""
+        if self._executor is not None:
+            self._executor.close()
 
     def __enter__(self) -> "SemiNaiveEngine":
         return self
@@ -1077,9 +1066,8 @@ class SemiNaiveEngine:
         else:
             result = self._incremental_run()
         self.stats.supports_evicted = self._evicted_base + self._supports.evicted
-        telemetry = getattr(self._executor, "telemetry", None)
-        if telemetry is not None:
-            counters = telemetry()
+        if self._executor is not None:
+            counters = self._executor.telemetry()
             self.stats.replica_backfills = counters["replica_backfills"]
         return result
 
@@ -1127,7 +1115,6 @@ class SemiNaiveEngine:
             interval=self._interval_enabled,
         )
         self._strata = self._build_stratum_info()
-        self._batches = self._compute_batches()
         self._gain_plans.clear()
         self._loss_plans.clear()
         self._rederive_plans.clear()
@@ -1216,8 +1203,8 @@ class SemiNaiveEngine:
                     self._store.ensure_repartition(  # type: ignore[union-attr]
                         predicate, position
                     )
-        if self._distributed:
-            self._executor.replan(self._active)  # type: ignore[attr-defined]
+        if self._executor is not None:
+            self._executor.replan(self._active)
 
     def _record_plans(self) -> None:
         self.stats.plans = {
@@ -1269,36 +1256,6 @@ class SemiNaiveEngine:
                 )
             )
         return tuple(infos)
-
-    def _compute_batches(self) -> tuple[tuple[int, ...], ...]:
-        """Topological batches of mutually independent strata.
-
-        Stratum ``t`` depends on stratum ``s`` when any predicate ``t``
-        reads (positively, under negation or inside an aggregate body) is
-        one of ``s``'s head predicates.  Strata on the same level of the
-        resulting DAG — independent SCC groups of the dependency graph —
-        can evaluate concurrently; batches are emitted in level order and
-        hold stratum indexes in ascending order, which fixes the merge
-        order for parallel execution.
-        """
-        inputs: list[set[str]] = []
-        for info in self._strata:
-            preds = set(info.referenced)
-            preds.update(neg.atom.predicate for _, _, neg in info.negations)
-            for agg_preds in info.agg_inputs.values():
-                preds.update(agg_preds)
-            inputs.append(preds)
-        levels: list[int] = []
-        for t in range(len(self._strata)):
-            level = 0
-            for s in range(t):
-                if inputs[t] & self._strata[s].heads:
-                    level = max(level, levels[s] + 1)
-            levels.append(level)
-        batches: dict[int, list[int]] = {}
-        for stratum, level in enumerate(levels):
-            batches.setdefault(level, []).append(stratum)
-        return tuple(tuple(batches[level]) for level in sorted(batches))
 
     def _negation_trigger_plan(
         self, rule_index: int, rule: CompiledRule, negation: Negation, gain: bool
@@ -1377,7 +1334,7 @@ class SemiNaiveEngine:
         edge rows actually form a forest is decided per run by the index
         monitor.  The indexes live engine-side and are maintained by the
         serial merge path only, so interval-answered heads never dispatch
-        work to the executor pool.
+        work to the process pool.
         """
         if not self._interval_enabled or not self._active.interval_specs:
             return ()
@@ -1439,7 +1396,6 @@ class SemiNaiveEngine:
         store: RelationStore,
         spec: IntervalSpec,
         changes: DeltaLedger,
-        sink: DeltaLedger,
         stats: EngineStats,
         removed_out: list[Tuple_],
         added_out: list[Tuple_],
@@ -1447,7 +1403,7 @@ class SemiNaiveEngine:
         """Advance one closure head through an incremental step.
 
         Returns True when the head is interval-owned and its exact deltas
-        were applied to the store and ``sink`` (and collected into
+        were applied to the store and ``changes`` (and collected into
         ``removed_out`` / ``added_out`` for the caller's cascade/seed
         wiring); False when the head stays on the fixpoint path; ``None``
         when an edge change broke the forest shape mid-step — the caller
@@ -1488,7 +1444,7 @@ class SemiNaiveEngine:
                 spec,
                 current - desired,
                 desired - current,
-                sink,
+                changes,
                 stats,
                 removed_out,
                 added_out,
@@ -1520,7 +1476,7 @@ class SemiNaiveEngine:
             spec,
             set(ledger.removed(spec.head)),
             set(ledger.added(spec.head)),
-            sink,
+            changes,
             stats,
             removed_out,
             added_out,
@@ -1756,31 +1712,29 @@ class SemiNaiveEngine:
         delta_plan: JoinPlan,
         delta_rel: Relation,
         store: RelationStore,
-    ) -> Callable[[], tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
-        """One evaluation task: fire ``rule`` against one delta partition
-        through its delta-first rewrite (the delta atom leads the join).
+    ) -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
+        """One evaluation task, run inline: fire ``rule`` against one
+        delta partition through its delta-first rewrite (the delta atom
+        leads the join).
 
         The task only *reads* the store and counts work into a scratch
         stats record; the caller merges derived tuples, supports and
-        counters serially, which keeps results executor-independent.
+        counters serially — exactly as it merges a process worker's
+        result — which keeps results executor-independent.
         """
-
-        def task() -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
-            scratch = EngineStats()
-            scratch.shard_tasks = 1
-            derived = [
-                (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
-                for b in solutions(
-                    delta_plan,
-                    store,
-                    delta_position=0,
-                    delta_relation=delta_rel,
-                    stats=scratch,
-                )
-            ]
-            return derived, scratch
-
-        return task
+        scratch = EngineStats()
+        scratch.shard_tasks = 1
+        derived = [
+            (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
+            for b in solutions(
+                delta_plan,
+                store,
+                delta_position=0,
+                delta_relation=delta_rel,
+                stats=scratch,
+            )
+        ]
+        return derived, scratch
 
     def _semi_naive_rounds(
         self,
@@ -1797,19 +1751,18 @@ class SemiNaiveEngine:
         whose predicate has a delta; new head tuples feed the next round
         (and ``changes``, when the caller is tracking a run report).
 
-        Each round builds one task per (rule, delta atom) — split further
-        into per-shard delta partitions on a sharded engine, aligned on
-        the next probe's shard routing key when the delta plan has one
-        (``JoinPlan.route_position``), so every task probes a single
-        target shard — evaluates them through the executor when the round
-        is big enough to pay for dispatch, and merges the derived tuples
-        serially in task order.  On a distributed executor the tasks ship
-        as picklable descriptors after the worker replicas are synced.
+        Each round builds one task per (rule, delta atom).  When the
+        round is big enough to pay for dispatch to the process pool, the
+        tasks are split further into per-shard delta partitions, aligned
+        on the next probe's shard routing key when the delta plan has one
+        (``JoinPlan.route_position``) so every task probes a single target
+        shard, and ship as picklable descriptors after the worker replicas
+        are synced.  Either way the derived tuples merge serially in task
+        order.  ``parallel=False`` keeps every task inline.
         """
         if stats is None:
             stats = self.stats
         n_shards = self.shard_config.shards
-        use_pool = parallel and self._parallel
         if n_shards > 1:
             from repro.cylog.sharding import split_rows_by_shard
         while delta:
@@ -1819,8 +1772,12 @@ class SemiNaiveEngine:
                 for predicate, rows in delta.items()
                 if rows
             }
-            fan_out = use_pool and (
-                sum(len(rows) for rows in delta.values())
+            # Re-read every round: a broken pool demotes the engine to
+            # inline evaluation mid-run.
+            fan_out = (
+                parallel
+                and self._executor is not None
+                and sum(len(rows) for rows in delta.values())
                 >= self.shard_config.min_parallel_rows
             )
             #: (rule, rule_index, position, delta_plan, delta shard — the
@@ -1851,12 +1808,13 @@ class SemiNaiveEngine:
                         jobs.append(
                             (rule, rule_index, position, delta_plan, shard_id, part)
                         )
-            if fan_out and len(jobs) > 1 and self._distributed:
+            results = None
+            if fan_out and len(jobs) > 1:
                 from repro.cylog.procpool import ProcessPoolBrokenError
 
                 self._flush_sync()
                 try:
-                    results = self._executor.run_rule_tasks(  # type: ignore[attr-defined]
+                    results = self._executor.run_rule_tasks(  # type: ignore[union-attr]
                         [
                             (rule_index, position, shard_id, tuple(part))
                             for _, rule_index, position, _, shard_id, part in jobs
@@ -1868,26 +1826,9 @@ class SemiNaiveEngine:
                     # inline against it are equivalent; finish this and
                     # every later round serially.
                     self._demote_to_serial()
-                    results = [
-                        self._rule_delta_task(
-                            rule_index, rule, delta_plan, part, store
-                        )()
-                        for rule, rule_index, _, delta_plan, _, part in jobs
-                    ]
-            elif fan_out and len(jobs) > 1:
-                results = self._executor.map(
-                    [
-                        self._rule_delta_task(
-                            rule_index, rule, delta_plan, part, store
-                        )
-                        for rule, rule_index, _, delta_plan, _, part in jobs
-                    ]
-                )
-            else:
+            if results is None:
                 results = [
-                    self._rule_delta_task(
-                        rule_index, rule, delta_plan, part, store
-                    )()
+                    self._rule_delta_task(rule_index, rule, delta_plan, part, store)
                     for rule, rule_index, _, delta_plan, _, part in jobs
                 ]
             next_delta: dict[str, set[Tuple_]] = {}
@@ -1922,33 +1863,18 @@ class SemiNaiveEngine:
             relation = store.get(predicate, len(next(iter(rows))))
             for row in rows:
                 relation.add(row)
-        # Head relations are created up front so parallel stratum tasks
-        # never mutate the store's predicate map concurrently.
+        # Head relations exist (empty) before any stratum runs, here and
+        # on worker replicas, so a probe against a not-yet-derived head
+        # counts the same work inline and in a worker.
         for rule in self._active.rules:
             store.get(rule.rule.head.predicate, rule.rule.head.arity)
         # Worker replicas restart from exactly these base facts; everything
         # derived below streams to them through the unsynced ledger.
         self._reset_workers(store)
-        for batch in self._batches:
-            if len(batch) == 1 or not self._parallel or self._distributed:
-                for index in batch:
-                    self._eval_stratum_full(
-                        store, self._strata[index], self.stats, parallel=self._parallel
-                    )
-            else:
-                # Independent strata: one task each, scratch stats merged
-                # in stratum order.
-                def stratum_task(info: _StratumInfo) -> EngineStats:
-                    scratch = EngineStats()
-                    scratch.shard_tasks = 1
-                    self._eval_stratum_full(store, info, scratch, parallel=False)
-                    return scratch
-
-                tasks = [
-                    partial(stratum_task, self._strata[index]) for index in batch
-                ]
-                for scratch in self._executor.map(tasks):
-                    self.stats.absorb(scratch)
+        # Stratum ``t`` only reads heads of strata below it, so index
+        # order is a topological order.
+        for info in self._strata:
+            self._eval_stratum_full(store, info, self.stats)
         self._store = store
         current = store.snapshot()
         changes = DeltaLedger()
@@ -1969,6 +1895,11 @@ class SemiNaiveEngine:
         stats: EngineStats,
         parallel: bool = True,
     ) -> None:
+        """Evaluate one stratum from scratch into ``store``.
+
+        ``parallel=False`` (the degraded-stratum recompute) keeps every
+        task inline.
+        """
         for rule_index, rule in info.aggregates:
             head_pred = rule.rule.head.predicate
             relation = store.get(head_pred, rule.rule.head.arity)
@@ -1993,38 +1924,28 @@ class SemiNaiveEngine:
                 plain = tuple((i, r) for i, r in plain if i not in skip)
         # Round 0: full evaluation of each rule.  Solutions are materialised
         # before insertion because recursive rules scan the very relation
-        # they derive into; on a parallel engine independent rules evaluate
-        # concurrently and merge in rule order.
-        def round0_task(rule_index: int, rule: CompiledRule):
-            def task():
+        # they derive into; on the process pool the rules evaluate in
+        # workers and merge in rule order.
+        results = None
+        if parallel and self._executor is not None and len(plain) > 1:
+            from repro.cylog.procpool import ProcessPoolBrokenError
+
+            self._flush_sync()
+            try:
+                results = self._executor.run_rule_tasks(
+                    [(rule_index, None, None, None) for rule_index, _ in plain]
+                )
+            except ProcessPoolBrokenError:
+                self._demote_to_serial()
+        if results is None:
+            results = []
+            for rule_index, rule in plain:
                 scratch = EngineStats()
                 derived = [
                     (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
                     for b in solutions(rule.join_plan, store, stats=scratch)
                 ]
-                return derived, scratch
-
-            return task
-
-        if parallel and self._parallel and len(plain) > 1 and self._distributed:
-            from repro.cylog.procpool import ProcessPoolBrokenError
-
-            self._flush_sync()
-            try:
-                results = self._executor.run_rule_tasks(  # type: ignore[attr-defined]
-                    [(rule_index, None, None, None) for rule_index, _ in plain]
-                )
-            except ProcessPoolBrokenError:
-                self._demote_to_serial()
-                results = [
-                    round0_task(rule_index, rule)() for rule_index, rule in plain
-                ]
-        elif parallel and self._parallel and len(plain) > 1:
-            results = self._executor.map(
-                [round0_task(rule_index, rule) for rule_index, rule in plain]
-            )
-        else:
-            results = [round0_task(rule_index, rule)() for rule_index, rule in plain]
+                results.append((derived, scratch))
         delta: dict[str, set[Tuple_]] = {}
         for (rule_index, rule), (derived, scratch) in zip(plain, results):
             stats.absorb(scratch)
@@ -2066,39 +1987,8 @@ class SemiNaiveEngine:
                     if relation.add(row):
                         changes.add(predicate, row)
                         self._note_add(predicate, row)
-        for batch in self._batches:
-            if len(batch) == 1 or not self._parallel or self._distributed:
-                for index in batch:
-                    self._step_stratum(
-                        store,
-                        self._strata[index],
-                        changes,
-                        self.stats,
-                        parallel=self._parallel,
-                    )
-            else:
-                # Independent strata: each task reads the pre-batch change
-                # ledger and writes into its own scratch ledger + stats;
-                # scratches merge in stratum order (their head predicates
-                # are disjoint, so the merge is order-insensitive anyway).
-                outs = [DeltaLedger() for _ in batch]
-                scratches = [EngineStats() for _ in batch]
-
-                def stratum_task(
-                    info: _StratumInfo, out: DeltaLedger, scratch: EngineStats
-                ) -> None:
-                    self._step_stratum(
-                        store, info, changes, scratch, out=out, parallel=False
-                    )
-
-                tasks = [
-                    partial(stratum_task, self._strata[index], out, scratch)
-                    for index, out, scratch in zip(batch, outs, scratches)
-                ]
-                self._executor.map(tasks)
-                for out, scratch in zip(outs, scratches):
-                    changes.merge(out)
-                    self.stats.absorb(scratch)
+        for info in self._strata:
+            self._step_stratum(store, info, changes, self.stats)
         added_map, removed_map = changes.as_mappings()
         self._observe_write_rates(added_map, removed_map)
         return EvaluationResult(store.snapshot(), added_map, removed_map)
@@ -2152,19 +2042,13 @@ class SemiNaiveEngine:
         info: _StratumInfo,
         changes: DeltaLedger,
         stats: EngineStats,
-        out: DeltaLedger | None = None,
-        parallel: bool = True,
     ) -> None:
         """Propagate the accumulated ``changes`` through one stratum.
 
-        ``changes`` is read-only input (base-fact deltas plus everything
-        lower batches produced); this stratum's own additions/removals are
-        written to ``out`` when given (parallel batches: each stratum task
-        gets a scratch ledger merged afterwards) and to ``changes`` itself
-        otherwise — same-batch strata never read each other's heads, so
-        the two modes are equivalent.
+        ``changes`` holds the base-fact deltas plus everything lower
+        strata produced; this stratum's own additions/removals are
+        written into it too, for the strata above.
         """
-        sink = out if out is not None else changes
         if not info.plain and not info.aggregates:
             return
         touched = set(changes.predicates())
@@ -2186,7 +2070,7 @@ class SemiNaiveEngine:
             or bool(agg_touched)
         )
         if removal_work and self._supports.degraded_any(info.heads):
-            self._recompute_stratum(store, info, sink, stats)
+            self._recompute_stratum(store, info, changes, stats)
             return
         # Interval-owned closure heads step first: the index turns the
         # edge deltas into the head's exact added/removed closure pairs
@@ -2203,10 +2087,10 @@ class SemiNaiveEngine:
             removed_rows: list[Tuple_] = []
             added_rows: list[Tuple_] = []
             owned = self._interval_step(
-                store, spec, changes, sink, stats, removed_rows, added_rows
+                store, spec, changes, stats, removed_rows, added_rows
             )
             if owned is None:
-                self._recompute_stratum(store, info, sink, stats)
+                self._recompute_stratum(store, info, changes, stats)
                 return
             if owned:
                 interval_heads.add(spec.head)
@@ -2292,7 +2176,7 @@ class SemiNaiveEngine:
                 )
         scheduler.run()
         for predicate, row in scheduler.deleted:
-            sink.remove(predicate, row)
+            changes.remove(predicate, row)
             self._note_remove(predicate, row)
         # Phase B': re-derivation.  Over-deleted tuples of the recursive
         # component are restored when still derivable from what survived;
@@ -2326,7 +2210,7 @@ class SemiNaiveEngine:
                     self._record(predicate, row, support, stats)
                 store.get(predicate, len(row)).add(row)
                 stats.tuples_rederived += 1
-                sink.add(predicate, row)
+                changes.add(predicate, row)
                 self._note_add(predicate, row)
                 rederived.setdefault(predicate, set()).add(row)
         # Phase C: additions.  Seeds: net-added input tuples, aggregate
@@ -2340,9 +2224,8 @@ class SemiNaiveEngine:
                 delta[predicate] = set(rows)
         # Interval-owned additions only seed the delta when a surviving
         # plain rule actually consumes the head — downstream strata read
-        # them from the sink ledger regardless, and seeding an unconsumed
-        # head would skew the round counter between serial and parallel
-        # batch modes (only serial mode aliases ``sink`` and ``changes``).
+        # them from ``changes`` regardless, and seeding an unconsumed head
+        # would count an empty semi-naive round.
         if interval_added:
             consumed = {
                 atom.predicate
@@ -2361,7 +2244,7 @@ class SemiNaiveEngine:
             relation = store.get(head_pred, rule.rule.head.arity)
             if relation.add(row):
                 stats.tuples_derived += 1
-                sink.add(head_pred, row)
+                changes.add(head_pred, row)
                 self._note_add(head_pred, row)
                 if head_pred in info.referenced:
                     delta.setdefault(head_pred, set()).add(row)
@@ -2388,12 +2271,12 @@ class SemiNaiveEngine:
                 self._record(head_pred, row, support, stats)
                 if relation.add(row):
                     stats.tuples_derived += 1
-                    sink.add(head_pred, row)
+                    changes.add(head_pred, row)
                     self._note_add(head_pred, row)
                     if head_pred in info.referenced:
                         delta.setdefault(head_pred, set()).add(row)
         self._semi_naive_rounds(
-            store, plain, delta, sink, stats=stats, parallel=parallel
+            store, plain, delta, changes, stats=stats
         )
 
 

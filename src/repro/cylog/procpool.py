@@ -1,9 +1,8 @@
 """Process-based evaluation: GIL-free workers holding replica stores.
 
-The thread pool in :mod:`repro.cylog.sharding` is bound by the
-interpreter lock — per-shard tasks are pure Python joins, so worker
-threads serialise on the GIL and multi-worker speedups stall.  The
-:class:`ProcessExecutor` moves the same tasks into worker *processes*:
+Per-shard evaluation tasks are pure Python joins, so threads sharing
+the engine's memory would serialise on the interpreter lock.  The
+:class:`ProcessExecutor` runs them in worker *processes* instead:
 
 * Each worker holds a **shard-pruned replica** of the engine's relation
   store (a plain :class:`~repro.cylog.engine.RelationStore` — lookups
@@ -32,8 +31,8 @@ threads serialise on the GIL and multi-worker speedups stall.  The
   :class:`~repro.cylog.engine.EngineStats`) come back tagged with the
   submission index and are returned **in submission order**, so the
   engine's serial merge produces bit-identical fixpoints, deltas and
-  derivation counters at any worker count — the same determinism
-  contract the thread pool honours.
+  derivation counters at any worker count — and equal to the serial
+  engine's.
 
 Pruning is computed from the same compiled plans the tasks execute, so
 every probe a task performs sees exactly the rows the engine's own store
@@ -58,7 +57,7 @@ import traceback
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.cylog.indexes import stable_hash
-from repro.cylog.sharding import ExecutorPolicy, probe_partitions
+from repro.cylog.sharding import probe_partitions
 
 Tuple_ = tuple[Any, ...]
 #: One shipped task: (rule index, join-plan position of the delta atom —
@@ -110,7 +109,7 @@ class _WorkerState:
         # Mirror the engine's full run: head relations exist (empty) from
         # the start, so a probe against a not-yet-derived head counts an
         # index hit exactly as it does on the engine's store — keeping the
-        # scratch counters byte-identical to the thread pool's.
+        # scratch counters byte-identical to inline evaluation's.
         for rule in compiled.rules:
             self.store.get(rule.rule.head.predicate, rule.rule.head.arity)
 
@@ -232,7 +231,7 @@ def _worker_main(conn) -> None:
                 return
 
 
-class ProcessExecutor(ExecutorPolicy):
+class ProcessExecutor:
     """Fan evaluation tasks out to worker processes with replica stores.
 
     The engine talks to it through four calls: :meth:`reset` installs a
@@ -247,9 +246,6 @@ class ProcessExecutor(ExecutorPolicy):
     and missing partitions are backfilled, so a replica is always current
     when it evaluates.
     """
-
-    name = "process"
-    distributed = True
 
     def __init__(self, max_workers: int = 4) -> None:
         if max_workers < 1:
@@ -473,13 +469,7 @@ class ProcessExecutor(ExecutorPolicy):
         self._telemetry["bytes_to_workers"] += len(payload)
         self._replica_rows[worker_id] += len(rows)
 
-    # -- ExecutorPolicy ----------------------------------------------------
-    def map(self, tasks):
-        # Closures cannot cross a process boundary; the engine dispatches
-        # through run_rule_tasks instead and keeps closure-shaped work
-        # (e.g. parallel stratum batches) inline.
-        return [task() for task in tasks]
-
+    # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self) -> None:
         with self._lock:
             if self._procs:

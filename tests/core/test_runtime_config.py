@@ -36,8 +36,26 @@ class TestValidation:
             RuntimeConfig(path="/tmp/x")
 
     def test_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            RuntimeConfig(executor="gpu")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                RuntimeConfig(executor=executor)
+            with pytest.raises(ValueError, match="unknown executor"):
+                ShardConfig(executor=executor)
+
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_must_be_positive(self, max_workers):
+        # A non-positive worker count is an error, not a silent default.
+        with pytest.raises(ValueError, match="max_workers"):
+            RuntimeConfig(executor="process", max_workers=max_workers)
+        with pytest.raises(ValueError, match="max_workers"):
+            ShardConfig(executor="process", max_workers=max_workers)
+
+    def test_default_worker_count(self):
+        executor = ShardConfig(executor="process").build_executor()
+        try:
+            assert executor.workers == 4  # spawned lazily: nothing runs yet
+        finally:
+            executor.close()
 
     def test_bad_shards_and_budget(self):
         with pytest.raises(ValueError, match="shards"):
@@ -46,9 +64,9 @@ class TestValidation:
             RuntimeConfig(support_budget=-1)
 
     def test_with_changes(self):
-        config = RuntimeConfig().with_changes(shards=4, executor="thread")
+        config = RuntimeConfig().with_changes(shards=4, executor="process")
         assert config.shards == 4
-        assert config.to_shard_config().executor == "thread"
+        assert config.to_shard_config().executor == "process"
 
     def test_build_database_durable(self, tmp_path):
         config = RuntimeConfig(backend="wal", path=tmp_path / "d")
@@ -88,7 +106,7 @@ class TestCrowd4UShim:
         program = parse_program("p(1). q(X) :- p(X).")
         for call in (
             lambda: Crowd4U(seed=1, shards=2),
-            lambda: Crowd4U(seed=1, executor="thread"),
+            lambda: Crowd4U(seed=1, executor="process"),
             lambda: Crowd4U(seed=1, max_workers=2),
             lambda: Crowd4U(seed=1, exchange=False),
             lambda: RuntimeConfig(replica_mode="pruned"),
@@ -102,7 +120,7 @@ class TestCrowd4UShim:
     def test_config_paths_equivalent_across_layouts(self):
         old = Crowd4U(seed=5, config=RuntimeConfig())
         new = Crowd4U(
-            seed=5, config=RuntimeConfig(shards=2, executor="thread", max_workers=2)
+            seed=5, config=RuntimeConfig(shards=2, executor="process", max_workers=2)
         )
         for platform in (old, new):
             platform.register_worker("ann", self._factors())

@@ -4,7 +4,7 @@
 comparisons, optional aggregate — safe by construction) and ``update_ops``
 random add/retract streams over the EDB predicates.  Both the
 ``engine-diff`` oracle (incremental vs from-scratch) and the ``shard-diff``
-oracle (sharded/threaded vs single-store) draw from the same distribution,
+oracle (sharded/process vs single-store) draw from the same distribution,
 so the two CI gates exercise the same program space.
 """
 

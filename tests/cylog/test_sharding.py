@@ -2,7 +2,7 @@
 
 The unit tests cover the sharded primitives directly; the hypothesis
 tests (marked ``shard_diff``, run with ``SHARD_DIFF_EXAMPLES=60`` by the
-CI ``shard-diff`` job) drive sharded/threaded engines through randomized
+CI ``shard-diff`` job) drive sharded and process engines through randomized
 programs and add/retract streams in lockstep with a single-store engine
 and require byte-identical snapshots after every run — the same
 discipline as the ``engine-diff`` and ``platform-diff`` oracles.
@@ -25,10 +25,8 @@ from hypothesis import given, settings
 
 from repro.cylog import (
     SemiNaiveEngine,
-    SerialExecutor,
     ShardConfig,
     ShardedRelationStore,
-    ThreadedExecutor,
     parse_program,
 )
 from repro.cylog.engine import RelationStore
@@ -41,16 +39,14 @@ from repro.cylog.sharding import (
 
 SHARD_EXAMPLES = int(os.environ.get("SHARD_DIFF_EXAMPLES", "15"))
 
-#: Serial / thread-pool configurations, with and without the exchange
-#: operator (``exchange=False`` keeps the chained-lookup fallback and the
-#: single store's plans on non-prefix join keys).
-THREAD_CONFIGS = (
+#: Serial configurations, with and without the exchange operator
+#: (``exchange=False`` keeps the chained-lookup fallback and the single
+#: store's plans on non-prefix join keys).
+SERIAL_CONFIGS = (
     ShardConfig(shards=1),
     ShardConfig(shards=2),
     ShardConfig(shards=8),
     ShardConfig(shards=8, exchange=False),
-    ShardConfig(shards=2, executor="thread", max_workers=2, min_parallel_rows=0),
-    ShardConfig(shards=8, executor="thread", max_workers=4, min_parallel_rows=0),
 )
 
 #: Process-pool configurations: shard-pruned replica stores (workers
@@ -63,12 +59,12 @@ PROCESS_CONFIGS = (
 )
 
 #: The configurations the oracle compares against the single store.  The
-#: CI ``shard-diff`` job matrix runs the thread and process suites as
+#: CI ``shard-diff`` job matrix runs the serial and process suites as
 #: separate entries (``SHARD_DIFF_SUITE``); everything runs by default.
 SHARD_CONFIGS = {
-    "threads": THREAD_CONFIGS,
+    "serial": SERIAL_CONFIGS,
     "process": PROCESS_CONFIGS,
-    "all": THREAD_CONFIGS + PROCESS_CONFIGS,
+    "all": SERIAL_CONFIGS + PROCESS_CONFIGS,
 }[os.environ.get("SHARD_DIFF_SUITE", "all")]
 
 
@@ -289,49 +285,23 @@ class TestShardedRelationStore:
 
 
 class TestExecutors:
-    def test_serial_preserves_order(self):
-        executor = SerialExecutor()
-        assert executor.map([lambda i=i: i * i for i in range(10)]) == [
-            i * i for i in range(10)
-        ]
-
-    def test_thread_pool_preserves_order(self):
-        executor = ThreadedExecutor(max_workers=4)
-        try:
-            assert executor.map([lambda i=i: i * i for i in range(50)]) == [
-                i * i for i in range(50)
-            ]
-        finally:
-            executor.close()
-
-    def test_thread_pool_propagates_errors(self):
-        executor = ThreadedExecutor(max_workers=2)
-
-        def boom():
-            raise RuntimeError("task failed")
-
-        try:
-            with pytest.raises(RuntimeError, match="task failed"):
-                executor.map([lambda: 1, boom, lambda: 3])
-        finally:
-            executor.close()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShardConfig(shards=0)
-        with pytest.raises(ValueError):
-            ShardConfig(executor="fork")
-        with pytest.raises(ValueError):
-            ThreadedExecutor(max_workers=0)
+        for executor in ("fork", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                ShardConfig(executor=executor)
+        with pytest.raises(ValueError, match="max_workers"):
+            ShardConfig(executor="process", max_workers=0)
 
     def test_process_executor_config(self):
         from repro.cylog import ProcessExecutor
 
+        assert ShardConfig(shards=4).build_executor() is None
         config = ShardConfig(shards=4, executor="process", max_workers=2)
         executor = config.build_executor()
         try:
             assert isinstance(executor, ProcessExecutor)
-            assert executor.distributed
             assert executor.workers == 2
         finally:
             executor.close()
@@ -364,14 +334,35 @@ class TestShardedSupportIndex:
             assert index.count("d", (1,)) == 0
             assert index.dependents("e", (1, 2)) == []
 
-    def test_merge_from_is_a_set_union(self):
-        main, scratch = ShardedSupportIndex(4), SupportIndex()
-        key = (0, (("e", (1, 2)),))
-        scratch.add("d", (1,), key)
-        scratch.add("d", (2,), (0, (("e", (2, None)),)))
-        main.add("d", (1,), key)  # overlap: merge must not double-count
-        assert main.merge_from(scratch) == 1
-        assert len(main) == 2
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_len_is_the_summed_support_count(self, sharded):
+        """``len`` is the O(1) counter the budget checks; after every kind
+        of mutation it must equal the supports actually held."""
+        index = ShardedSupportIndex(4, budget=3) if sharded else SupportIndex(budget=3)
+        heads = [("d", (1,)), ("d", (2,)), ("d", (3,))]
+        key_a = (0, (("e", (1, 2)),))
+        key_b = (1, (("e", (1, None)),))
+
+        def held() -> int:
+            return sum(len(index.supports(p, row)) for p, row in heads)
+
+        steps = [
+            lambda: index.add("d", (1,), key_a),
+            lambda: index.add("d", (1,), key_a),  # duplicate: no-op
+            lambda: index.add("d", (1,), key_b),
+            lambda: index.add("d", (2,), key_a),
+            lambda: index.add("d", (3,), key_a),  # at budget: refused
+            lambda: index.drop("d", (1,), key_a),
+            lambda: index.drop("d", (1,), key_a),  # already gone
+            lambda: index.discard_tuple("d", (1,)),
+            lambda: index.discard_tuple("d", (2,)),
+        ]
+        expected = [1, 1, 2, 3, 3, 2, 2, 1, 0]
+        for step, size in zip(steps, expected):
+            step()
+            assert len(index) == held() == size
+        assert index.evicted == 1
+        assert index.degraded_any(["d"])
 
 
 class TestWriteAwareReplan:
@@ -485,8 +476,8 @@ def test_sharded_engines_agree_on_fixpoint(source: str):
 @given(stratified_program(), update_ops)
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_sharded_add_retract_lockstep(source: str, ops):
-    """Randomized add/retract streams run in lockstep on every sharded /
-    threaded configuration and on the single store; after *every* run the
+    """Randomized add/retract streams run in lockstep on every sharded
+    serial/process configuration and on the single store; after *every* run the
     snapshots and the reported deltas must be byte-identical, and no
     configuration may fall back to a hidden full re-run."""
     program = parse_program(source)
@@ -525,7 +516,8 @@ def test_sharded_matches_scratch_reload(source: str, ops):
     from-scratch single-store evaluation over the same base facts."""
     program = parse_program(source)
     engine = _engine_with(
-        program, ShardConfig(shards=8, executor="thread", max_workers=2)
+        program,
+        ShardConfig(shards=8, executor="process", max_workers=2, min_parallel_rows=0),
     )
     try:
         engine.run()
@@ -562,7 +554,7 @@ def test_sharded_matches_scratch_reload(source: str, ops):
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_interval_leg_sharded_lockstep(ops):
     """Interval leg of the shard-diff oracle: random forest churn runs in
-    lockstep on every sharded/threaded/process configuration (interval on,
+    lockstep on every sharded serial/process configuration (interval on,
     the default) and on a single-store *fixpoint-only* reference.  After
     every run the snapshots and reported deltas must be byte-identical —
     the interval index lives engine-side, so no executor or shard count
@@ -629,13 +621,13 @@ def _derivation_only(stats: dict) -> dict:
 
 
 class TestExecutorDeterminism:
-    """Satellite gate: fixed-seed runs at worker counts 1/2/8 produce
-    identical results *and* identical derivation counters — on the thread
-    pool and on the process pool."""
+    """Fixed-seed runs on the process pool at worker counts 1/2/8 produce
+    identical results *and* identical derivation counters — equal to the
+    serial engine's."""
 
     WORKER_COUNTS = (1, 2, 8)
 
-    def _run_all(self, executor: str = "thread"):
+    def _run_all(self, executor: str = "process"):
         program = _determinism_program()
         outcomes = []
         for workers in self.WORKER_COUNTS:
@@ -667,35 +659,37 @@ class TestExecutorDeterminism:
             assert second.added_rows == baseline_second.added_rows
             assert second.removed_rows == baseline_second.removed_rows
             # Derivation counters — not just the fixpoint — must be
-            # executor-independent: the serial merge does all counting.
-            assert stats == baseline_stats
+            # worker-count independent: the serial merge does all counting.
+            # Backfills follow how partitions spread over the workers.
+            assert _derivation_only(stats) == _derivation_only(baseline_stats)
 
     def test_process_pool_matches_thread_pool_bit_for_bit(self):
         """Same program, same updates: every process-pool run must equal
-        the thread-pool baseline — results, deltas and the full counter
-        record except ``shard_tasks`` (the thread pool additionally fans
-        out whole stratum batches, which the process pool keeps inline)
-        and the transport telemetry (threads never ship rows)."""
-        thread_outcomes = self._run_all("thread")
+        the serial ``shards=8`` engine — results, deltas and the full
+        counter record except the transport telemetry (the serial engine
+        never ships rows) and the task-shape counters: the pool splits a
+        round into per-shard tasks where the serial engine runs one, and
+        each task counts itself and the scan of its own delta partition."""
+
+        def comparable(stats: dict) -> dict:
+            stats = _derivation_only(stats)
+            stats.pop("shard_tasks"), stats.pop("full_scans")
+            return stats
+
+        s_first, s_second, s_stats = self._run_all("serial")[0]
         process_outcomes = self._run_all("process")
-        for (t_first, t_second, t_stats), (p_first, p_second, p_stats) in zip(
-            thread_outcomes, process_outcomes
-        ):
-            assert p_first.relations == t_first.relations
-            assert p_second.relations == t_second.relations
-            assert p_second.added_rows == t_second.added_rows
-            assert p_second.removed_rows == t_second.removed_rows
-            t_stats = _derivation_only(t_stats)
-            p_stats = _derivation_only(p_stats)
-            t_stats.pop("shard_tasks"), p_stats.pop("shard_tasks")
-            assert p_stats == t_stats
+        for p_first, p_second, p_stats in process_outcomes:
+            assert p_first.relations == s_first.relations
+            assert p_second.relations == s_second.relations
+            assert p_second.added_rows == s_second.added_rows
+            assert p_second.removed_rows == s_second.removed_rows
+            assert comparable(p_stats) == comparable(s_stats)
         baseline = process_outcomes[0][2]
         for _, _, stats in process_outcomes[1:]:
             # Pruning changes what each worker holds (backfills depend on
-            # how the partitions spread over workers), never what the
-            # engine derives or how much it mutated: derivation counters
-            # and the canonical sync volume are worker-count independent.
-            assert _derivation_only(stats) == _derivation_only(baseline)
+            # how the partitions spread over workers), never how much the
+            # engine mutated: the canonical sync volume is worker-count
+            # independent.
             assert stats["sync_rows"] == baseline["sync_rows"]
             assert stats["sync_bytes"] == baseline["sync_bytes"]
 
@@ -748,7 +742,7 @@ class TestExecutorDeterminism:
         and executor independent."""
         by_executor = {
             executor: self._run_interval(executor)
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
         serial_first, serial_second, serial_stats = by_executor["serial"][0]
         assert serial_stats["interval_scans"] > 0  # the path actually engaged
